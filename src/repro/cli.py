@@ -541,7 +541,6 @@ def _service_state(args):
         n_shards=args.shards,
         resident=not args.no_resident,
         coalesce=not args.no_coalesce,
-        window_s=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_inflight_cheap=args.max_inflight_cheap,
         max_queue_cheap=args.max_queue_cheap,
@@ -599,7 +598,6 @@ def cmd_serve(args) -> int:
         f"  shards={state.repo.n_shards} "
         f"resident={'on' if state.config.resident else 'off'} "
         f"coalesce={'on' if state.config.coalesce else 'off'} "
-        f"window={state.config.window_s * 1e3:.0f}ms "
         f"deadline={args.deadline_ms:.0f}ms "
         f"chaos_ops={'on' if state.config.chaos_ops else 'off'}",
         file=sys.stderr,
@@ -940,12 +938,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="listen port; 0 picks a free one (default: 8750)")
     sv.add_argument("--shards", type=_positive_int, default=4,
                     help="material shard count (default: 4)")
-    sv.add_argument("--window-ms", type=_positive_float, default=10.0,
-                    help="request-coalescing window in milliseconds "
-                         "(default: 10)")
     sv.add_argument("--max-batch", type=_positive_int, default=32,
-                    help="dispatch a batch early once this many requests "
-                         "are queued (default: 32)")
+                    help="most requests one backend call takes; a longer "
+                         "queue dispatches as consecutive batches "
+                         "(default: 32)")
     sv.add_argument("--no-coalesce", action="store_true",
                     help="dispatch every request individually (the "
                          "load-test baseline)")

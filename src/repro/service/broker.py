@@ -7,10 +7,10 @@ with a handful of specs; every search request ultimately calls
 time, none of the batched-kernel amortization built in PR 3 is
 reachable.  The broker restores it:
 
-* requests enter a **lane** (one per request family) and wait out a
-  bounded *coalescing window* — the window opens at the first arrival
-  and closes ``window_s`` later, or immediately once ``max_batch``
-  requests are queued;
+* requests enter a **lane** (one per request family).  Lanes are
+  work-conserving (Nagle/TCP_NODELAY, group commit): an idle lane
+  dispatches an arrival at once; arrivals during an in-flight call
+  queue and go out together, up to ``max_batch``, when it returns;
 * the whole batch dispatches as **one** kernel call — NMF jobs grouped
   by matrix are concatenated into a single ``run_nmf_fits`` (identical
   jobs dedupe to one solve), search jobs grouped by (tree, limit) are
@@ -135,30 +135,26 @@ def _fail(batch: list[tuple[Any, Future]], exc: BaseException) -> None:
 
 
 class _Lane:
-    """One coalescing queue with a dispatcher thread.
+    """One work-conserving queue with a dispatcher thread.
 
-    States: *idle* (queue empty, dispatcher waiting) → *collecting*
-    (first arrival opened the window; dispatcher sleeps until
-    first-arrival + ``window_s``, waking early if ``max_batch`` is
-    reached or the broker starts draining) → *dispatching* (batch handed
-    to the dispatch callable; new arrivals start the next window).
+    States: *idle* (queue empty, dispatcher waiting) → *dispatching*
+    (up to ``max_batch`` queued jobs handed to the backend; new arrivals
+    queue behind the call and form the next batch when it returns).
     """
 
     def __init__(
         self,
         name: str,
         dispatch: Callable[[list], None],
-        window_s: float,
         max_batch: int,
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.name = name
         self._dispatch = dispatch
-        self._window_s = window_s
         self._max_batch = max_batch
         self._breaker = breaker
         self._cond = make_condition("broker.lane")
-        self._queue: list[tuple[Any, Future]] = []
+        self._queue: list[tuple[Any, Future, float]] = []
         self._closing = False
         self._thread = threading.Thread(
             target=self._run, name=f"broker-{name}", daemon=True
@@ -167,15 +163,16 @@ class _Lane:
 
     def submit(self, job) -> Future:
         fut: Future = Future()
+        queued_at = time.perf_counter()
         with self._cond:
             if self._closing:
                 raise BrokerClosed(f"broker lane {self.name!r} is closed")
-            self._queue.append((job, fut))
+            self._queue.append((job, fut, queued_at))
             self._cond.notify_all()
         return fut
 
     def close(self) -> None:
-        """Drain: queued and in-window jobs dispatch, then the thread exits."""
+        """Drain: queued jobs dispatch, then the thread exits."""
         with self._cond:
             self._closing = True
             self._cond.notify_all()
@@ -188,13 +185,6 @@ class _Lane:
                     self._cond.wait()
                 if not self._queue:  # closing and fully drained
                     return
-                # Collecting: window opened by the batch's first arrival.
-                deadline = time.perf_counter() + self._window_s
-                while len(self._queue) < self._max_batch and not self._closing:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
                 batch = self._queue[: self._max_batch]
                 del self._queue[: self._max_batch]
             _run_batch(self.name, self._dispatch, batch, self._breaker)
@@ -206,18 +196,24 @@ def _run_batch(
     batch: list,
     breaker: CircuitBreaker | None = None,
 ) -> None:
+    # ``batch`` holds (job, future, submit time) entries; each job's
+    # wait from submit to here is its ``broker.<lane>.queue_wait``.
     # Requests whose deadline expired while queued never reach the
     # backend: they fail with DeadlineExceeded here, before dispatch,
     # so a wedged lane cannot also waste kernel time on dead requests.
+    started = time.perf_counter()
+    waits = [started - queued_at for _, _, queued_at in batch]
     live: list = []
     expired: list = []
-    for job, fut in batch:
+    for job, fut, _ in batch:
         deadline = job.deadline
         if deadline is not None and deadline.expired():
             expired.append((job, fut))
         else:
             live.append((job, fut))
     if name == "nmf":
+        for wait in waits:
+            metrics.observe("broker.nmf.queue_wait", wait)
         if expired:
             metrics.inc("broker.nmf.expired", len(expired))
         metrics.inc("broker.nmf.batches")
@@ -225,6 +221,8 @@ def _run_batch(
         metrics.observe("broker.nmf.batch_size", float(len(live)))
         timer = metrics.timer("broker.nmf.dispatch")
     else:
+        for wait in waits:
+            metrics.observe("broker.search.queue_wait", wait)
         if expired:
             metrics.inc("broker.search.expired", len(expired))
         metrics.inc("broker.search.batches")
@@ -275,7 +273,6 @@ class RequestBroker:
         self,
         *,
         search_many: Callable | None = None,
-        window_s: float = 0.01,
         max_batch: int = 32,
         coalesce: bool = True,
         kernel: str | None = "batched",
@@ -283,15 +280,12 @@ class RequestBroker:
         breaker_threshold: int = 5,
         breaker_recovery_s: float = 2.0,
     ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._search_many = search_many
         self._kernel = kernel
         self._workers = workers
         self.coalesce = coalesce
-        self.window_s = window_s
         self.max_batch = max_batch
         self.breakers: dict[str, CircuitBreaker] = {
             "nmf": CircuitBreaker(
@@ -308,11 +302,11 @@ class RequestBroker:
         self._search_lane: _Lane | None = None
         if coalesce:
             self._nmf_lane = _Lane(
-                "nmf", self._dispatch_nmf, window_s, max_batch,
+                "nmf", self._dispatch_nmf, max_batch,
                 self.breakers["nmf"],
             )
             self._search_lane = _Lane(
-                "search", self._dispatch_search, window_s, max_batch,
+                "search", self._dispatch_search, max_batch,
                 self.breakers["search"],
             )
 
@@ -339,7 +333,8 @@ class RequestBroker:
         if self._closed:
             raise BrokerClosed(f"broker lane {name!r} is closed")
         fut: Future = Future()
-        _run_batch(name, dispatch, [(job, fut)], self.breakers[name])
+        entry = (job, fut, time.perf_counter())
+        _run_batch(name, dispatch, [entry], self.breakers[name])
         return PendingResult(fut, job.finish)
 
     def close(self) -> None:

@@ -244,7 +244,6 @@ class ReproService:
         config = state.config
         self.broker = RequestBroker(
             search_many=self._search_many,
-            window_s=config.window_s,
             max_batch=config.max_batch,
             coalesce=config.coalesce,
             kernel=config.nmf_kernel,

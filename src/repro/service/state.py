@@ -68,7 +68,9 @@ class ServiceConfig:
 
     ``coalesce=False`` turns off micro-batching (requests still flow
     through the broker's dispatch code, one at a time) — the load-test
-    baseline.  ``resident=False`` falls back to ship-the-shard fan-out.
+    baseline; with it on, requests that queue behind an in-flight call
+    dispatch together, up to ``max_batch``.  ``resident=False`` falls
+    back to ship-the-shard fan-out.
 
     Overload controls (see :mod:`repro.service.admission`): the
     ``max_inflight_*`` / ``max_queue_*`` pairs bound each endpoint
@@ -86,7 +88,6 @@ class ServiceConfig:
     n_shards: int = 4
     resident: bool = True
     coalesce: bool = True
-    window_s: float = 0.01
     max_batch: int = 32
     nmf_kernel: str | None = "batched"
     default_k: int = 4

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,7 +60,7 @@ def service(dataset):
     tree, courses, _ = dataset
     state = ServiceState(
         tree, courses,
-        config=ServiceConfig(n_shards=3, window_s=0.005),
+        config=ServiceConfig(n_shards=3),
     )
     with ReproService(state) as svc:
         yield svc
@@ -93,22 +94,76 @@ def _errs_job(a, seed):
     )
 
 
+def _search_job(query):
+    return SearchJob(queries=[query], tree=None, limit=None, finish=list)
+
+
+class _Gate:
+    """Backend wrapper whose first call blocks until ``release`` is set.
+
+    Holding the first batch in the backend keeps its lane busy, so every
+    job submitted meanwhile queues behind it — the state in which a lane
+    coalesces — with no timing assumptions.  ``calls`` records each
+    call's positional arguments.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self.calls: list[tuple] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(args)
+        if len(self.calls) == 1:
+            self.entered.set()
+            assert self.release.wait(timeout=60), "gate never released"
+        return self._fn(*args, **kwargs)
+
+
+@pytest.fixture()
+def gated_nmf(monkeypatch):
+    """Gate the broker's NMF backend for the duration of one test."""
+    import repro.service.broker as broker_module
+
+    gate = _Gate(broker_module.run_nmf_fits)
+    monkeypatch.setattr(broker_module, "run_nmf_fits", gate)
+    yield gate
+    gate.release.set()
+
+
+def _wait_until(condition, what, timeout=30.0):
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < deadline, f"timed out waiting: {what}"
+        time.sleep(0.005)
+
+
+def _wait_queued(lane, n):
+    """Block until ``n`` jobs wait in ``lane`` behind its in-flight call."""
+    _wait_until(lambda: len(lane._queue) >= n, f"{n} queued job(s)")
+
+
 class TestBroker:
     @pytest.fixture()
     def a(self):
         rng = np.random.default_rng(3)
         return np.abs(rng.normal(size=(18, 12)))
 
-    def test_concurrent_requests_coalesce_and_match_direct(self, a):
-        broker = RequestBroker(window_s=0.05, max_batch=32)
+    def test_concurrent_requests_coalesce_and_match_direct(self, a, gated_nmf):
+        broker = RequestBroker(max_batch=32)
         try:
             seeds = list(range(6))
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futs = list(pool.map(
-                    lambda s: broker.submit_nmf(_errs_job(a, s)), seeds
+            first = broker.submit_nmf(_errs_job(a, seeds[0]))
+            assert gated_nmf.entered.wait(timeout=30)
+            with ThreadPoolExecutor(max_workers=5) as pool:
+                rest = list(pool.map(
+                    lambda s: broker.submit_nmf(_errs_job(a, s)), seeds[1:]
                 ))
-                got = [f.result(timeout=60) for f in futs]
+            gated_nmf.release.set()
+            got = [f.result(timeout=60) for f in [first, *rest]]
         finally:
+            gated_nmf.release.set()
             broker.close()
         for seed, errs in zip(seeds, got):
             direct = [
@@ -116,25 +171,32 @@ class TestBroker:
                 for b in run_nmf_fits(a, _err_specs(a, seed))
             ]
             assert errs == direct
+        # the idle lane sent the first job alone; the burst queued
+        # behind it went out as one call
+        assert [len(specs) for _, specs in gated_nmf.calls] == [2, 10]
         hist = metrics.histogram("broker.nmf.batch_size")
         assert hist is not None and hist.max_value > 1.0
 
-    def test_identical_requests_dedupe_to_one_solve(self, a):
-        broker = RequestBroker(window_s=0.05)
+    def test_identical_requests_dedupe_to_one_solve(self, a, gated_nmf):
+        broker = RequestBroker()
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futs = list(pool.map(
-                    lambda _: broker.submit_nmf(_errs_job(a, 9)), range(4)
+            first = broker.submit_nmf(_errs_job(a, 9))
+            assert gated_nmf.entered.wait(timeout=30)
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                rest = list(pool.map(
+                    lambda _: broker.submit_nmf(_errs_job(a, 9)), range(3)
                 ))
-                got = [f.result(timeout=60) for f in futs]
+            gated_nmf.release.set()
+            got = [f.result(timeout=60) for f in [first, *rest]]
         finally:
+            gated_nmf.release.set()
             broker.close()
         assert got[0] == got[1] == got[2] == got[3]
         snap = metrics.snapshot()["counters"]
         assert snap.get("broker.nmf.deduped", 0) >= 1
 
     def test_inline_baseline_matches_coalesced(self, a):
-        coalesced = RequestBroker(window_s=0.05)
+        coalesced = RequestBroker()
         inline = RequestBroker(coalesce=False)
         try:
             lhs = coalesced.submit_nmf(_errs_job(a, 4)).result(timeout=60)
@@ -145,13 +207,11 @@ class TestBroker:
         assert lhs == rhs
 
     def test_search_burst_is_one_backend_call(self):
-        calls = []
-
         def search_many(queries, *, tree, limit):
-            calls.append(len(queries))
             return [[(q, limit)] for q in queries]
 
-        broker = RequestBroker(search_many=search_many, window_s=0.05)
+        gate = _Gate(search_many)
+        broker = RequestBroker(search_many=gate)
         try:
             def job(i):
                 return SearchJob(
@@ -159,44 +219,128 @@ class TestBroker:
                     finish=lambda per_query: list(per_query),
                 )
 
+            held = broker.submit_search(_search_job("held"))
+            assert gate.entered.wait(timeout=30)
             with ThreadPoolExecutor(max_workers=5) as pool:
                 futs = list(pool.map(
                     lambda i: broker.submit_search(job(i)), range(5)
                 ))
-                got = [f.result(timeout=30) for f in futs]
+            gate.release.set()
+            assert held.result(timeout=30) == [[("held", None)]]
+            got = [f.result(timeout=30) for f in futs]
         finally:
+            gate.release.set()
             broker.close()
-        assert calls == [10]  # one flattened backend call for the burst
+        # the held call, then one flattened backend call for the burst
+        assert [len(queries) for queries, in gate.calls] == [1, 10]
         for i, per_query in enumerate(got):
             assert per_query == [[(f"q{i}", 7)], [(f"r{i}", 7)]]
 
-    def test_request_failure_does_not_poison_batch(self, a):
-        broker = RequestBroker(window_s=0.05)
+    def test_arrivals_behind_inflight_call_dispatch_as_next_batch(self):
+        gate = _Gate(lambda queries, *, tree, limit: [[q] for q in queries])
+        broker = RequestBroker(search_many=gate)
+        try:
+            held = broker.submit_search(_search_job("A"))
+            assert gate.entered.wait(timeout=30)
+            rest = [broker.submit_search(_search_job(q)) for q in "BCD"]
+            gate.release.set()
+            got = [f.result(timeout=30) for f in [held, *rest]]
+        finally:
+            gate.release.set()
+            broker.close()
+        assert [queries for queries, in gate.calls] == [
+            ["A"], ["B", "C", "D"],
+        ]
+        assert got == [[[q]] for q in "ABCD"]
+        assert metrics.histogram("broker.search.queue_wait").count == 4
+
+    def test_queued_overflow_splits_into_consecutive_batches(self):
+        gate = _Gate(lambda queries, *, tree, limit: [[q] for q in queries])
+        broker = RequestBroker(search_many=gate, max_batch=2)
+        try:
+            held = broker.submit_search(_search_job("A"))
+            assert gate.entered.wait(timeout=30)
+            rest = [broker.submit_search(_search_job(q)) for q in "BCDE"]
+            gate.release.set()
+            got = [f.result(timeout=30) for f in [held, *rest]]
+        finally:
+            gate.release.set()
+            broker.close()
+        assert [queries for queries, in gate.calls] == [
+            ["A"], ["B", "C"], ["D", "E"],
+        ]
+        assert got == [[[q]] for q in "ABCDE"]  # none dropped, FIFO kept
+
+    def test_concurrent_submitters_lose_no_job(self):
+        sizes = []
+
+        def search_many(queries, *, tree, limit):
+            sizes.append(len(queries))
+            return [[q] for q in queries]
+
+        broker = RequestBroker(search_many=search_many, max_batch=4)
+
+        def submit_all(t):
+            futs = [
+                broker.submit_search(_search_job(f"{t}-{i}"))
+                for i in range(50)
+            ]
+            return [f.result(timeout=30) for f in futs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(submit_all, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+            broker.close()
+        assert got == [
+            [[[f"{t}-{i}"]] for i in range(50)] for t in range(8)
+        ]
+        assert sum(sizes) == 400 and max(sizes) <= 4
+
+    def test_request_failure_does_not_poison_batch(self, a, gated_nmf):
+        broker = RequestBroker()
         bad = NmfJob(
             matrix=a, group=id(a), specs=_err_specs(a, 1),
             finish=lambda bundles: 1 / 0,
         )
         try:
+            held = broker.submit_nmf(_errs_job(a, 3))
+            assert gated_nmf.entered.wait(timeout=30)
             with ThreadPoolExecutor(max_workers=2) as pool:
                 f_bad = pool.submit(broker.submit_nmf, bad).result()
                 f_ok = pool.submit(broker.submit_nmf, _errs_job(a, 2)).result()
+            gated_nmf.release.set()
+            assert held.result(timeout=60)
             with pytest.raises(ZeroDivisionError):
                 f_bad.result(timeout=60)
             assert f_ok.result(timeout=60)  # sibling request unharmed
         finally:
+            gated_nmf.release.set()
             broker.close()
+        # bad and ok shared one dispatch behind the held call
+        assert [len(specs) for _, specs in gated_nmf.calls] == [2, 4]
 
-    def test_close_drains_queued_jobs_then_rejects(self, a):
-        broker = RequestBroker(window_s=5.0)  # window longer than the test
-        fut = broker.submit_nmf(_errs_job(a, 5))
-        broker.close()  # must flush the in-window batch, not drop it
+    def test_close_drains_queued_jobs_then_rejects(self, a, gated_nmf):
+        broker = RequestBroker()
+        held = broker.submit_nmf(_errs_job(a, 5))
+        assert gated_nmf.entered.wait(timeout=30)
+        fut = broker.submit_nmf(_errs_job(a, 7))  # queued behind the call
+        closer = threading.Thread(target=broker.close)
+        closer.start()
+        _wait_until(lambda: broker._nmf_lane._closing, "lane closing")
+        gated_nmf.release.set()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        # close() must flush the queued batch, not drop it
+        assert held.result(timeout=60)
         assert fut.result(timeout=60)
         with pytest.raises(BrokerClosed):
             broker.submit_nmf(_errs_job(a, 6))
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError, match="window_s"):
-            RequestBroker(window_s=-0.1)
         with pytest.raises(ValueError, match="max_batch"):
             RequestBroker(max_batch=0)
 
@@ -407,16 +551,25 @@ class TestHttpSurface:
         assert hist is not None and hist["count"] >= 1
         assert hist["p99"] >= hist["p50"] > 0
 
+    def test_broker_queue_wait_in_metrics(self, client):
+        status, _ = client.post("/search", {"query": {"text": "lecture"}})
+        assert status == 200
+        status, doc = client.get("/metrics")
+        assert status == 200
+        hist = doc["histograms"].get("broker.search.queue_wait")
+        assert hist is not None and hist["count"] >= 1
+
 
 # -- draining and shutdown ---------------------------------------------------
 
 
 class TestDraining:
-    def test_close_completes_inflight_and_reaps_workers(self, dataset):
+    def test_close_completes_inflight_and_reaps_workers(
+        self, dataset, gated_nmf
+    ):
         tree, courses, _ = dataset
         state = ServiceState(
-            tree, courses,
-            config=ServiceConfig(n_shards=2, window_s=0.2, max_batch=64),
+            tree, courses, config=ServiceConfig(n_shards=2, max_batch=64),
         )
         service = ReproService(state)
         host, port = service.start()
@@ -425,21 +578,36 @@ class TestDraining:
 
         results = {}
 
-        def slow_request():
+        def request(name, seed):
             with ServiceClient(host, port) as c:
-                # lands in a 200ms coalescing window, so close() must
-                # wait for both the handler thread and the broker flush
-                results["typing"] = c.post(
-                    "/typing", {"k": 3, "seed": 41, "n_restarts": 2}
+                results[name] = c.post(
+                    "/typing", {"k": 3, "seed": seed, "n_restarts": 2}
                 )
 
-        t = threading.Thread(target=slow_request)
+        # One request is held in the gated backend and a second queues
+        # behind it, so close() must wait for both the handler threads
+        # and the broker flush.
+        t = threading.Thread(target=request, args=("typing", 41))
         t.start()
-        time.sleep(0.05)  # request is in flight / in window
-        final = service.close()
+        assert gated_nmf.entered.wait(timeout=30)
+        t2 = threading.Thread(target=request, args=("queued", 42))
+        t2.start()
+        _wait_queued(service.broker._nmf_lane, 1)
+        closed = []
+        closer = threading.Thread(target=lambda: closed.append(service.close()))
+        closer.start()
+        _wait_until(lambda: service.draining, "service draining")
+        assert closer.is_alive()  # blocked on the held request
+        gated_nmf.release.set()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        final = closed[0]
         t.join(timeout=30)
-        assert not t.is_alive()
+        t2.join(timeout=30)
+        assert not t.is_alive() and not t2.is_alive()
         status, doc = results["typing"]
+        assert status == 200 and doc["k"] == 3
+        status, doc = results["queued"]
         assert status == 200 and doc["k"] == 3
 
         # resident shard workers are reaped, not orphaned
@@ -575,11 +743,14 @@ def _raw_response(host, port, method, path, body=None):
 
 
 class TestOverload:
-    def test_deadline_504_leaves_batch_mates_unaffected(self, dataset):
-        # Both requests land in one 250ms coalescing window; the tight
-        # deadline expires first.  Its 504 must not disturb the
-        # batch-mate, which rides the same dispatch to a 200.
-        with _overload_service(dataset, window_s=0.25) as svc:
+    def test_deadline_504_leaves_batch_mates_unaffected(
+        self, dataset, gated_nmf
+    ):
+        # An occupant holds the NMF lane in the gated backend, so both
+        # requests queue behind it as one batch and the tight deadline
+        # expires in the queue.  Its 504 must not disturb the
+        # batch-mate, which rides the next dispatch to a 200.
+        with _overload_service(dataset) as svc:
             host, port = svc.address
             results = {}
 
@@ -589,6 +760,11 @@ class TestOverload:
                         "/typing", body, deadline_ms=deadline_ms
                     )
 
+            occupant = threading.Thread(target=req, args=(
+                "occupant", {"k": 3, "seed": 2100, "n_restarts": 2}, None,
+            ))
+            occupant.start()
+            assert gated_nmf.entered.wait(timeout=30)
             tight = threading.Thread(target=req, args=(
                 "tight", {"k": 3, "seed": 2101, "n_restarts": 2}, 100.0,
             ))
@@ -597,8 +773,14 @@ class TestOverload:
             ))
             tight.start()
             roomy.start()
-            tight.join(timeout=30)
+            try:
+                _wait_queued(svc.broker._nmf_lane, 2)
+                tight.join(timeout=30)  # its budget ran out in the queue
+            finally:
+                gated_nmf.release.set()
             roomy.join(timeout=60)
+            occupant.join(timeout=60)
+            assert results["occupant"][0] == 200
             status, doc = results["tight"]
             assert status == 504 and doc["deadline_exceeded"] is True
             status, doc = results["roomy"]
@@ -606,7 +788,7 @@ class TestOverload:
             assert metrics.get("broker.nmf.expired") >= 1
 
     def test_invalid_deadline_rejected(self, dataset):
-        with _overload_service(dataset, window_s=0.005) as svc:
+        with _overload_service(dataset) as svc:
             host, port = svc.address
             with ServiceClient(host, port) as c:
                 status, doc = c.post(
@@ -618,9 +800,11 @@ class TestOverload:
                 )
                 assert status == 400
 
-    def test_queue_full_sheds_503_with_retry_after(self, dataset):
+    def test_queue_full_sheds_503_with_retry_after(self, dataset, gated_nmf):
+        # The occupant is held in the gated backend, so it keeps the one
+        # heavy slot until the gate opens.
         with _overload_service(
-            dataset, window_s=0.3, max_inflight_heavy=1, max_queue_heavy=0,
+            dataset, max_inflight_heavy=1, max_queue_heavy=0,
         ) as svc:
             host, port = svc.address
             done = {}
@@ -638,9 +822,12 @@ class TestOverload:
             while gate.snapshot()["inflight"] == 0:
                 assert time.perf_counter() < deadline, "slot never claimed"
                 time.sleep(0.005)
-            status, headers, doc = _raw_response(
-                host, port, "POST", "/typing", {"k": 3, "seed": 2104},
-            )
+            try:
+                status, headers, doc = _raw_response(
+                    host, port, "POST", "/typing", {"k": 3, "seed": 2104},
+                )
+            finally:
+                gated_nmf.release.set()
             assert status == 503
             assert doc["shed"] is True and doc["reason"] == "queue_full"
             assert int(headers["Retry-After"]) >= 1
@@ -650,8 +837,7 @@ class TestOverload:
 
     def test_breaker_trip_serves_degraded_from_cache(self, dataset):
         with _overload_service(
-            dataset, window_s=0.005, chaos_ops=True,
-            breaker_recovery_s=60.0,
+            dataset, chaos_ops=True, breaker_recovery_s=60.0,
         ) as svc:
             host, port = svc.address
             with ServiceClient(host, port) as c:
@@ -684,11 +870,13 @@ class TestOverload:
         )
         assert status == 404
 
-    def test_drain_sheds_gate_queued_requests_fast(self, dataset):
+    def test_drain_sheds_gate_queued_requests_fast(self, dataset, gated_nmf):
         # Regression: a request queued *behind the admission gate* at
-        # shutdown must get a fast 503, not hang the drain join.
+        # shutdown must get a fast 503, not hang the drain join.  The
+        # occupant is held in the gated backend until the queued request
+        # has been shed.
         with _overload_service(
-            dataset, window_s=0.3, max_inflight_heavy=1, max_queue_heavy=8,
+            dataset, max_inflight_heavy=1, max_queue_heavy=8,
         ) as svc:
             host, port = svc.address
             results = {}
@@ -719,8 +907,16 @@ class TestOverload:
                 time.sleep(0.005)
 
             t0 = time.perf_counter()
-            svc.close()
+            closer = threading.Thread(target=svc.close)
+            closer.start()
+            try:
+                t2.join(timeout=30)
+                assert not t2.is_alive()  # shed while the occupant is held
+            finally:
+                gated_nmf.release.set()
+            closer.join(timeout=60)
             drain_s = time.perf_counter() - t0
+            assert not closer.is_alive()
             t1.join(timeout=30)
             t2.join(timeout=30)
             assert not t1.is_alive() and not t2.is_alive()
