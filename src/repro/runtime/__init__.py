@@ -44,8 +44,6 @@ from repro.runtime.executor import (
     NMF_KERNELS,
     FailureEvent,
     FailureReport,
-    ResidentUnavailable,
-    ResidentWorker,
     TaskError,
     failure_report,
     nmf_kernel_from_env,
@@ -102,8 +100,6 @@ __all__ = [
     "MetricsRegistry",
     "NMF_KERNELS",
     "NMF_KEY_PARAMS",
-    "ResidentUnavailable",
-    "ResidentWorker",
     "ResultCache",
     "TaskError",
     "TimerStat",

@@ -7,8 +7,8 @@ Layers, bottom up:
   :func:`repro.runtime.run_nmf_fits` calls, concurrent searches into
   single ``search_many`` calls, behind per-request futures.
 * :mod:`~repro.service.state` — the warm corpus (sharded repository
-  with worker-resident shards, cached family matrices) and the
-  endpoint logic, HTTP-free.
+  queried in-process, cached family matrices) and the endpoint logic,
+  HTTP-free.
 * :mod:`~repro.service.admission` — the overload controls: bounded
   admission gates per endpoint class, monotonic request deadlines,
   and circuit breakers around the broker lanes.

@@ -18,8 +18,8 @@ degrade; see docs/ARCHITECTURE.md "Overload & recovery"):
   ``remaining()``; a request that cannot finish in time fails with
   :class:`DeadlineExceeded` (HTTP 504) instead of blocking its client.
 * :class:`CircuitBreaker` — a failure-counting switch around a
-  dependency (a broker lane, the resident shard pool).  ``threshold``
-  consecutive failures open it; while open, calls fail fast with
+  dependency (a broker lane).  ``threshold`` consecutive failures
+  open it; while open, calls fail fast with
   :class:`BreakerOpen` (HTTP 503, or degraded-mode serving when a
   cached result exists); after ``recovery_s`` one half-open probe is
   admitted and its outcome closes or re-opens the breaker.

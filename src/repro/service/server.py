@@ -12,7 +12,7 @@ Endpoints (all JSON; POST bodies are JSON objects, GET uses query
 strings):
 
 ====================  ======================================================
-``GET /healthz``      liveness + corpus/worker counts
+``GET /healthz``      liveness + corpus counts, breakers, admission
 ``GET /metrics``      runtime metrics snapshot (counters, timers,
                       latency histograms, cache stats, failure report)
 ``GET /corpus``       served ids (courses, sample of materials, tags) —
@@ -38,17 +38,14 @@ factorization is served flagged ``"degraded": true``.
 
 Shutdown drains: the accept loop stops, queued admission waiters shed
 with a fast 503, in-flight handlers run to completion (handler threads
-are joined), queued broker batches flush, then the resident shard pool
-is reaped.  During draining new requests get 503 with ``Connection:
-close``.
+are joined), then queued broker batches flush.  During draining new
+requests get 503 with ``Connection: close``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import signal
 import threading
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -301,16 +298,15 @@ class ReproService:
         metrics.inc("service.starts")
         return self.address
 
-    def close(self, *, force: bool = False) -> dict:
+    def close(self) -> dict:
         """Drain and stop; idempotent.  Returns the final metrics snapshot.
 
         Order matters: stop accepting, shed the admission queues (a
         request parked at a gate would otherwise hang the handler join
         below — it holds a handler thread but will never get a slot
         once traffic stops), join in-flight handler threads (they may
-        still be blocked on broker futures — the broker is alive),
-        flush the broker's queued batches, then tear down the resident
-        shard pool.
+        still be blocked on broker futures — the broker is alive), then
+        flush the broker's queued batches.
         """
         if self._httpd is None:
             return self.final_metrics or metrics.snapshot()
@@ -322,7 +318,6 @@ class ReproService:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self.broker.close()  # flush queued/coalescing batches
-        self.state.close(force=force)
         metrics.inc("service.shutdowns")
         self.final_metrics = metrics.snapshot()
         self._httpd = None
@@ -356,8 +351,9 @@ class ReproService:
             doc["admission"] = {
                 cls: gate.snapshot() for cls, gate in self.gates.items()
             }
-            resident = state.repo.resident
-            doc["resident_pids"] = resident.pids() if resident else []
+            # Always empty: shards are served in this process.  Kept for
+            # clients that read it to find worker processes.
+            doc["resident_pids"] = []
             return doc
         if path == "/metrics":
             return self.metrics_doc()
@@ -448,10 +444,9 @@ class ReproService:
     def _chaos(self, params: dict) -> dict:
         """``POST /chaos``: fault injection, enabled by ``chaos_ops``.
 
-        Ops: ``trip_breaker`` (force a lane breaker open) and
-        ``kill_worker`` (SIGKILL one resident shard worker) — the two
-        faults the chaos load test needs to exercise degraded-mode
-        serving and the rebalance path from outside the process.
+        One op, ``trip_breaker``: force a lane breaker open, so the
+        chaos load test can exercise degraded-mode serving from outside
+        the process.
         """
         if not self.state.config.chaos_ops:
             raise ServiceError(404, "no route '/chaos'")
@@ -463,18 +458,7 @@ class ReproService:
             self.broker.breakers[lane].trip("chaos trip_breaker op")
             metrics.inc("service.chaos.ops")
             return {"ok": True, "op": op, "lane": lane}
-        if op == "kill_worker":
-            resident = self.state.repo.resident
-            pids = resident.pids() if resident else []
-            if not pids:
-                raise ServiceError(400, "no resident workers to kill")
-            index = int(params.get("index", 0)) % len(pids)
-            os.kill(pids[index], signal.SIGKILL)
-            metrics.inc("service.chaos.ops")
-            return {"ok": True, "op": op, "pid": pids[index]}
-        raise ServiceError(
-            400, f"op must be trip_breaker or kill_worker, got {op!r}"
-        )
+        raise ServiceError(400, f"op must be trip_breaker, got {op!r}")
 
     def metrics_doc(self) -> dict:
         doc = metrics.snapshot()

@@ -4,8 +4,8 @@ One :class:`ServiceState` owns everything a server process keeps warm
 between requests:
 
 * the guideline tree, the ingested corpus (a
-  :class:`~repro.materials.ShardedMaterialRepository` with its
-  worker-resident shard pool), and the corpus course matrix;
+  :class:`~repro.materials.ShardedMaterialRepository`, queried in this
+  process), and the corpus course matrix;
 * lazily built **family matrices** (per course-label submatrices) behind
   a lock, cached so concurrent requests for the same family share one
   matrix *object* — which is what lets the broker group their NMF jobs
@@ -23,6 +23,7 @@ without sockets in the loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -69,8 +70,10 @@ class ServiceConfig:
     ``coalesce=False`` turns off micro-batching (requests still flow
     through the broker's dispatch code, one at a time) — the load-test
     baseline; with it on, requests that queue behind an in-flight call
-    dispatch together, up to ``max_batch``.  ``resident=False`` falls
-    back to ship-the-shard fan-out.
+    dispatch together, up to ``max_batch``.  Shard queries always run in
+    the server process; ``resident`` is kept only so existing callers
+    can pass ``resident=False``, and ``True`` (the removed
+    worker-resident shard pool) is rejected.
 
     Overload controls (see :mod:`repro.service.admission`): the
     ``max_inflight_*`` / ``max_queue_*`` pairs bound each endpoint
@@ -86,7 +89,7 @@ class ServiceConfig:
     """
 
     n_shards: int = 4
-    resident: bool = True
+    resident: bool = False
     coalesce: bool = True
     max_batch: int = 32
     nmf_kernel: str | None = "batched"
@@ -115,7 +118,8 @@ def _params_int(
         return None
     try:
         value = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        # json.loads accepts Infinity and NaN, and reads 1e400 as inf.
         raise ServiceError(400, f"{name} must be an integer, got {raw!r}") from None
     if lo is not None and value < lo:
         raise ServiceError(400, f"{name} must be >= {lo}, got {value}")
@@ -125,9 +129,12 @@ def _params_int(
 def _params_float(params: Mapping, name: str, default: float) -> float:
     raw = params.get(name, default)
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ServiceError(400, f"{name} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ServiceError(400, f"{name} must be finite, got {raw!r}")
+    return value
 
 
 def _params_enum(params: Mapping, name: str, enum_cls, default=None):
@@ -154,8 +161,8 @@ def parse_query(doc: Any) -> SearchQuery:
     unknown = set(doc) - known
     if unknown:
         raise ServiceError(400, f"unknown query fields: {sorted(unknown)}")
-    tags = doc.get("tags", ())
-    if isinstance(tags, str) or not all(isinstance(t, str) for t in tags):
+    tags = doc.get("tags", [])
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ServiceError(400, "tags must be a list of strings")
     kwargs: dict[str, Any] = {"tags": frozenset(tags)}
     for name in ("text", "author", "course_level", "language", "dataset"):
@@ -192,6 +199,11 @@ class ServiceState:
         repo: ShardedMaterialRepository | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
+        if self.config.resident:
+            raise ValueError(
+                "resident=True: the worker-resident shard pool was removed; "
+                "shard queries run in the server process"
+            )
         self.tree = tree
         if repo is not None:
             # Warm restart: the repository was already rebuilt from
@@ -217,17 +229,17 @@ class ServiceState:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> list[int]:
-        """Warm the worker-resident shard pool; returns worker pids."""
-        if self._started:
-            return self.repo.resident.pids() if self.repo.resident else []
-        self._started = True
-        if self.config.resident:
-            return self.repo.start_resident(trees=[self.tree])
-        return []
+    def start(self) -> None:
+        """Build every shard's query index, so no request pays for it.
 
-    def close(self, *, force: bool = False) -> None:
-        self.repo.close_resident(force=force)
+        After this, queries only read the indexes: no handler thread
+        builds or refreshes one concurrently with another.
+        """
+        if self._started:
+            return
+        self._started = True
+        for shard in self.repo.shards:
+            shard.index.incidence()
 
     # -- shared lookups ------------------------------------------------------
 
@@ -259,6 +271,22 @@ class ServiceState:
             metrics.inc("service.family_matrices")
             return family
 
+    def _nmf_family(self, label: str | None, k: int) -> CourseMatrix:
+        """The family matrix to factor at rank ``k``.
+
+        ``k`` may exceed the family's course count, but not its tag count:
+        the factors are sized by ``k``, so an unbounded ``k`` is an
+        unbounded allocation.
+        """
+        matrix = self.family_matrix(label)
+        n_tags = len(matrix.tag_ids)
+        if k > n_tags:
+            raise ServiceError(
+                400, f"k must be <= {n_tags} (the tag count of family "
+                f"{label!r}), got {k}"
+            )
+        return matrix
+
     def _course(self, params: Mapping) -> Course:
         course_id = params.get("course_id")
         if not course_id:
@@ -270,7 +298,7 @@ class ServiceState:
 
     def _nmf_params(self, params: Mapping) -> tuple[int, int, int, str | None]:
         k = _params_int(params, "k", self.config.default_k, lo=1)
-        seed = _params_int(params, "seed", 0)
+        seed = _params_int(params, "seed", 0, lo=0)
         n_restarts = _params_int(
             params, "n_restarts", self.config.default_restarts, lo=1
         )
@@ -280,13 +308,11 @@ class ServiceState:
     # -- direct endpoints (no kernel work, answered inline) ------------------
 
     def healthz(self, params: Mapping) -> dict:
-        resident = self.repo.resident
         return {
             "status": "ok",
             "n_courses": self.repo.n_courses,
             "n_materials": self.repo.n_materials,
             "n_shards": self.repo.n_shards,
-            "resident_workers": len(resident.pids()) if resident else 0,
         }
 
     def corpus_info(self, params: Mapping) -> dict:
@@ -354,7 +380,7 @@ class ServiceState:
 
     def typing_job(self, params: Mapping) -> NmfJob:
         k, seed, n_restarts, label = self._nmf_params(params)
-        matrix = self.family_matrix(label)
+        matrix = self._nmf_family(label, k)
         specs = typing_specs(matrix, k, seed=seed, n_restarts=n_restarts)
 
         def finish(bundles: Sequence[dict]) -> dict:
@@ -375,7 +401,7 @@ class ServiceState:
         k, seed, n_restarts, label = self._nmf_params(params)
         top_n = _params_int(params, "top_n", 15, lo=1)
         threshold = _params_float(params, "membership_threshold", 0.25)
-        matrix = self.family_matrix(label)
+        matrix = self._nmf_family(label, k)
         specs = typing_specs(matrix, k, seed=seed, n_restarts=n_restarts)
 
         def finish(bundles: Sequence[dict]) -> dict:
@@ -447,7 +473,7 @@ class ServiceState:
                 (lab.value for lab in sorted(course.labels, key=lambda l: l.value)),
                 None,
             )
-        matrix = self.family_matrix(label)
+        matrix = self._nmf_family(label, k)
         if course.id not in matrix.course_ids:
             raise ServiceError(
                 400, f"course {course.id!r} is not in family {label!r}"

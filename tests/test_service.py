@@ -8,14 +8,13 @@ Three contracts under test:
 * **bit-identity** — every served JSON document equals the one computed
   by direct library calls (floats survive JSON via repr round-trip);
 * **draining** — in-flight requests complete during shutdown, queued
-  broker batches flush, and no resident shard worker outlives the
-  service.
+  broker batches flush, and the service never starts a child process.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
 import sys
 import threading
 import time
@@ -28,7 +27,7 @@ import repro.runtime as runtime
 from repro.analysis import analyze_flavors, build_course_matrix, type_courses
 from repro.anchors.recommender import recommend_for_course
 from repro.factorization.nmf import nmf_restart_specs
-from repro.materials import CourseLabel, coverage
+from repro.materials import CourseLabel, MaterialRepository, coverage
 from repro.runtime import run_nmf_fits
 from repro.runtime.metrics import metrics
 from repro.service import (
@@ -489,7 +488,8 @@ class TestHttpSurface:
     def test_healthz_and_metrics(self, service, client):
         status, doc = client.get("/healthz")
         assert status == 200 and doc["status"] == "ok"
-        assert doc["resident_workers"] == service.state.repo.n_shards
+        assert doc["n_shards"] == service.state.repo.n_shards
+        assert doc["resident_pids"] == []
         status, doc = client.get("/metrics")
         assert status == 200
         assert {"counters", "timers", "histograms", "failures"} <= set(doc)
@@ -543,6 +543,46 @@ class TestHttpSurface:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize(
+        "path,text",
+        [
+            # json.loads accepts Infinity/NaN and reads 1e400 as inf.
+            ("/search", '{"query": {"text": "lab"}, "limit": Infinity}'),
+            ("/search", '{"query": {"text": "lab"}, "limit": 1e400}'),
+            ("/similar", '{"material_id": "m", "limit": -Infinity}'),
+            ("/typing", '{"k": Infinity}'),
+            ("/typing", '{"k": 1e400}'),
+            ("/typing", '{"seed": 1e400}'),
+            ("/typing", '{"seed": -1}'),
+            ("/typing", '{"n_restarts": NaN}'),
+            ("/anchors", '{"course_id": "COURSE", "top": Infinity}'),
+            ("/flavors", '{"membership_threshold": NaN}'),
+            ("/flavors", '{"membership_threshold": Infinity}'),
+            ("/search", '{"query": {"tags": 5}}'),
+            ("/typing", '{"k": 100000}'),
+            ("/anchors", '{"course_id": "COURSE", "k": 100000}'),
+        ],
+    )
+    def test_out_of_range_numbers_are_400_not_500(self, service, path, text):
+        import http.client as hc
+
+        course_id = service.state.matrix.course_ids[0]
+        body = text.replace("COURSE", course_id).encode()
+        errors_500 = metrics.get("service.errors.500")
+        host, port = service.address
+        conn = hc.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request(
+                "POST", path, body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400, doc
+        assert metrics.get("service.errors.500") == errors_500
+
     def test_latency_histograms_recorded(self, service, client):
         client.get("/healthz")
         status, doc = client.get("/metrics")
@@ -573,8 +613,8 @@ class TestDraining:
         )
         service = ReproService(state)
         host, port = service.start()
-        pids = state.repo.resident.pids()
-        assert len(pids) == 2 and all(p for p in pids)
+        # Shards are served in this process: starting spawns no worker.
+        assert multiprocessing.active_children() == []
 
         results = {}
 
@@ -610,10 +650,7 @@ class TestDraining:
         status, doc = results["queued"]
         assert status == 200 and doc["k"] == 3
 
-        # resident shard workers are reaped, not orphaned
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert multiprocessing.active_children() == []
         # this service's broker lane threads are gone (other services'
         # lanes may coexist in the process)
         for lane in (service.broker._nmf_lane, service.broker._search_lane):
@@ -629,7 +666,7 @@ class TestDraining:
     def test_close_is_idempotent(self, dataset):
         tree, courses, _ = dataset
         state = ServiceState(
-            tree, courses, config=ServiceConfig(n_shards=2, resident=False)
+            tree, courses, config=ServiceConfig(n_shards=2)
         )
         service = ReproService(state)
         service.start()
@@ -662,6 +699,45 @@ class TestState:
             parse_query({"type": "hologram"})
         with pytest.raises(ServiceError):
             parse_query("not-a-dict")
+
+    def test_resident_pool_config_rejected(self, dataset):
+        tree, courses, _ = dataset
+        with pytest.raises(ValueError, match="resident"):
+            ServiceState(tree, courses, config=ServiceConfig(resident=True))
+
+    def test_started_shards_serve_concurrent_queries(self, dataset):
+        # /similar runs on handler threads and /search on the broker
+        # lane, all against the same shards; start() builds every index
+        # first, so concurrent queries only read them.
+        tree, courses, _ = dataset
+        state = ServiceState(tree, courses, config=ServiceConfig(n_shards=3))
+        state.start()
+        flat = MaterialRepository()
+        flat.ingest(courses)
+
+        def key(hits):
+            return [(h.material.id, h.score) for h in hits]
+
+        ids = [m.id for m in flat.materials()][:24]
+        queries = [parse_query({"tags": [t]}) for t in state.matrix.tag_ids[:8]]
+        want_similar = {m: key(flat.find_similar(m, limit=5)) for m in ids}
+        want_search = [
+            key(h) for h in flat.search_many(queries, tree=tree, limit=5)
+        ]
+
+        def work(i):
+            mid = ids[i % len(ids)]
+            assert key(state.repo.find_similar(mid, limit=5)) == want_similar[mid]
+            got = state.repo.search_many(queries, tree=tree, limit=5)
+            assert [key(h) for h in got] == want_search
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(work, range(96), timeout=120))
+        finally:
+            sys.setswitchinterval(old)
 
 
 # -- load generator ----------------------------------------------------------
@@ -721,7 +797,6 @@ def _overload_service(dataset, **cfg):
     """A dedicated service with overload knobs turned for the test."""
     tree, courses, _ = dataset
     cfg.setdefault("n_shards", 2)
-    cfg.setdefault("resident", False)
     state = ServiceState(tree, courses, config=ServiceConfig(**cfg))
     return ReproService(state)
 

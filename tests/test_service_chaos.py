@@ -1,8 +1,8 @@
 """Chaos + lock-sanitizer integration for the service stack.
 
-The strongest claim this PR makes is cross-cutting: a broker +
-resident-pool service under injected worker crashes and task errors
-must (a) keep serving bit-identical results, and (b) do so without a
+The claim under test is cross-cutting: the broker-backed service,
+under injected worker crashes and task errors in its NMF fits, must
+(a) keep serving bit-identical results, and (b) do so without a
 single lock-order inversion observed by the runtime sanitizer.  The
 static RPR5xx rules prove the ordering discipline about the code; this
 test checks the same property on the live system while the fault
